@@ -22,6 +22,7 @@
 module Interval = Dqep_util.Interval
 module Rng = Dqep_util.Rng
 module Stats = Dqep_util.Stats
+module Histogram = Dqep_util.Histogram
 module Timer = Dqep_util.Timer
 module Diagnostic = Dqep_util.Diagnostic
 module Json = Dqep_util.Json

@@ -56,17 +56,58 @@ let memory_pages = Exec_common.memory_pages
    of diagnostics, equivalent to [Validate.check]) is survivable: a plan
    referencing a dropped object either loses only some choose-plan
    alternatives — then the pruned plan runs — or is truly dead and raises
-   [Infeasible] instead of an arbitrary [Invalid_argument] mid-iteration. *)
+   [Infeasible] instead of an arbitrary [Invalid_argument] mid-iteration.
+
+   Plans and catalogs are immutable, so the static part of the verdict —
+   the corrupt diagnostics and [Validate.check]'s result — is a function
+   of the (plan node, catalog) pair and is computed once per pair: a
+   cached plan served many times is verified once, and a catalog swap
+   re-verifies it.  The memo holds its plan keys weakly, so it keeps
+   alive no plan the plan cache has dropped.  Pruning depends on the
+   env and still runs per call. *)
+type verdict = {
+  corrupt : Dqep_util.Diagnostic.t list;
+  valid : (unit, Dqep_plans.Validate.problem list) result;
+}
+
+module Verdicts = Ephemeron.K1.Make (struct
+  type t = Plan.t
+
+  let equal = ( == )
+  let hash (p : Plan.t) = Hashtbl.hash p.Plan.pid
+end)
+
+let verdicts : (Catalog.t * verdict) Verdicts.t = Verdicts.create 64
+let verdicts_mu = Mutex.create ()
+
+let compute_verdict catalog plan =
+  { corrupt =
+      Dqep_analysis.Verify.plan ~catalog plan
+      |> Dqep_util.Diagnostic.errors
+      |> List.filter (fun (d : Dqep_util.Diagnostic.t) ->
+             not
+               (Dqep_util.Diagnostic.is_feasibility d.Dqep_util.Diagnostic.code));
+    valid = Dqep_plans.Validate.check catalog plan }
+
+let verdict catalog plan =
+  let cached =
+    Mutex.protect verdicts_mu (fun () -> Verdicts.find_opt verdicts plan)
+  in
+  match cached with
+  | Some (c, v) when c == catalog -> v
+  | Some _ | None ->
+    (* Computed outside the lock: two domains racing on a new pair both
+       compute the same verdict, and either store is correct. *)
+    let v = compute_verdict catalog plan in
+    Mutex.protect verdicts_mu (fun () ->
+        Verdicts.replace verdicts plan (catalog, v));
+    v
+
 let check_feasible db env plan =
   let catalog = Database.catalog db in
-  let corrupt =
-    Dqep_analysis.Verify.plan ~catalog plan
-    |> Dqep_util.Diagnostic.errors
-    |> List.filter (fun (d : Dqep_util.Diagnostic.t) ->
-           not (Dqep_util.Diagnostic.is_feasibility d.Dqep_util.Diagnostic.code))
-  in
+  let { corrupt; valid } = verdict catalog plan in
   if corrupt <> [] then raise (Invalid_plan corrupt);
-  match Dqep_plans.Validate.check catalog plan with
+  match valid with
   | Ok () -> plan
   | Error problems -> (
     match Dqep_plans.Validate.prune_infeasible env catalog plan with

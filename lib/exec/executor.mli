@@ -51,7 +51,10 @@ val check_feasible :
     runs first and rejects corrupt plans; catalog-drift findings then
     take the classic path ({!Dqep_plans.Validate}) — the plan is returned
     unchanged when it checks out, pruned when only some choose-plan
-    alternatives are infeasible.
+    alternatives are infeasible.  The verifier and catalog-check verdict
+    is memoized per (plan node, catalog) pair, both compared by physical
+    equality, so a cached plan is verified once per catalog; pruning
+    still runs on every call.  Domain-safe.
     @raise Invalid_plan on error-severity diagnostics outside the
     feasibility subset.
     @raise Infeasible when nothing feasible remains. *)

@@ -256,11 +256,12 @@ let record_feedback t rt (bindings : Bindings.t) resolved_plan =
       | None -> ())
     (Trace.taps rt)
 
-(* Fold a finished run's counter deltas into the session-lifetime trace. *)
+(* Fold a finished run's counter deltas into the session-lifetime trace;
+   [base] is the run trace's counters at admission, by [Counter.index]. *)
 let fold_counters t rt ~base =
   List.iter
     (fun c ->
-      let d = Trace.get rt c - base c in
+      let d = Trace.get rt c - base.(Counter.index c) in
       if d <> 0 then Trace.add t.obs c d)
     Counter.all
 
@@ -308,10 +309,7 @@ let submit t ?(gov = Governor.none) ?obs ?resilience
       | Some tr when Trace.enabled tr -> tr
       | Some _ | None -> Trace.create ~taps:true ()
     in
-    let base =
-      let snap = List.map (fun c -> (c, Trace.get rt c)) Counter.all in
-      fun c -> List.assoc c snap
-    in
+    let base = Array.of_list (List.map (Trace.get rt) Counter.all) in
     let outcome =
       match static_rejection with
       | Some diags ->

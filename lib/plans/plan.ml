@@ -42,8 +42,9 @@ module Builder = struct
 
   (* Pids are globally unique, not per builder: resolved or shrunk plans
      mix rebuilt nodes with nodes reused from the original builder, and
-     every DAG traversal keys on the pid. *)
-  let next_pid = ref 0
+     every DAG traversal keys on the pid.  Atomic, because plans are
+     built concurrently from server client domains. *)
+  let next_pid = Atomic.make 0
 
   let create env = { env; table = Hashtbl.create 256; count = 0 }
 
@@ -53,10 +54,9 @@ module Builder = struct
     | Some p -> p
     | None ->
       let p =
-        { pid = !next_pid; op; inputs; rels; rows; bytes_per_row; own_cost;
-          total_cost; props }
+        { pid = Atomic.fetch_and_add next_pid 1; op; inputs; rels; rows;
+          bytes_per_row; own_cost; total_cost; props }
       in
-      incr next_pid;
       b.count <- b.count + 1;
       Hashtbl.add b.table key p;
       p

@@ -26,7 +26,7 @@
    (deadline, cancellation) balance with success.  See breaker.ml. *)
 
 module Json = Dqep_util.Json
-module Stats_u = Dqep_util.Stats
+module Histogram = Dqep_util.Histogram
 module Trace = Dqep_obs.Trace
 module Counter = Dqep_obs.Counter
 module Feedback = Dqep_obs.Feedback
@@ -74,12 +74,12 @@ type t = {
   cache : Plan_cache.t;
   acquire : shape:string -> Database.t;
   release : shape:string -> Database.t -> unit;
-  mu : Mutex.t;  (* guards catalog/fp swap, breakers, latency reservoirs *)
+  mu : Mutex.t;  (* guards catalog/fp swap, breakers, latency histograms *)
   mutable catalog : Catalog.t;
   mutable fp : string;
   breakers : (string, Breaker.t) Hashtbl.t;
-  mutable hit_lat_ms : float list;
-  mutable miss_lat_ms : float list;
+  hit_lat_ms : Histogram.t;
+  miss_lat_ms : Histogram.t;
   requests : int Atomic.t;
   errors : int Atomic.t;
   started : float;
@@ -134,7 +134,8 @@ let create ?(config = config ()) ~acquire ~release catalog =
         ~replan_threshold:config.replan_threshold ();
     acquire; release; mu = Mutex.create (); catalog;
     fp = Plan_cache.fingerprint catalog; breakers = Hashtbl.create 16;
-    hit_lat_ms = []; miss_lat_ms = []; requests = Atomic.make 0;
+    hit_lat_ms = Histogram.create (); miss_lat_ms = Histogram.create ();
+    requests = Atomic.make 0;
     errors = Atomic.make 0; started = config.clock () }
 
 let session t = t.session
@@ -215,8 +216,8 @@ let note_replan t ~key =
 let record_latency t ~cached ms =
   locked t (fun () ->
       match cached with
-      | Protocol.Hit -> t.hit_lat_ms <- ms :: t.hit_lat_ms
-      | Protocol.Miss -> t.miss_lat_ms <- ms :: t.miss_lat_ms)
+      | Protocol.Hit -> Histogram.add t.hit_lat_ms ms
+      | Protocol.Miss -> Histogram.add t.miss_lat_ms ms)
 
 let handle_run t (run : Protocol.run) =
   Atomic.incr t.requests;
@@ -397,12 +398,11 @@ type stats = {
   throughput_rps : float;
 }
 
-let percentile p = function [] -> 0. | samples -> Stats_u.percentile p samples
-
 let stats t =
-  let hit_lat, miss_lat, trips, closes =
+  let (hit_p50, hit_p95), (miss_p50, miss_p95), trips, closes =
     locked t (fun () ->
-        ( t.hit_lat_ms, t.miss_lat_ms,
+        let pct h = (Histogram.percentile 50. h, Histogram.percentile 95. h) in
+        ( pct t.hit_lat_ms, pct t.miss_lat_ms,
           Hashtbl.fold (fun _ b acc -> acc + Breaker.trips b) t.breakers 0,
           Hashtbl.fold (fun _ b acc -> acc + Breaker.closes b) t.breakers 0 ))
   in
@@ -425,10 +425,10 @@ let stats t =
     cache_size = cs.Plan_cache.size;
     breaker_trips = trips;
     breaker_closes = closes;
-    hit_p50_ms = percentile 50. hit_lat;
-    hit_p95_ms = percentile 95. hit_lat;
-    miss_p50_ms = percentile 50. miss_lat;
-    miss_p95_ms = percentile 95. miss_lat;
+    hit_p50_ms = hit_p50;
+    hit_p95_ms = hit_p95;
+    miss_p50_ms = miss_p50;
+    miss_p95_ms = miss_p95;
     elapsed_s = elapsed;
     throughput_rps = float_of_int requests /. elapsed }
 

@@ -112,7 +112,11 @@ type stats = {
   cache_size : int;
   breaker_trips : int;
   breaker_closes : int;
-  hit_p50_ms : float;  (** completed-request latency, cache-hit path *)
+  hit_p50_ms : float;
+      (** completed-request latency, cache-hit path.  The four
+          percentiles come from fixed-size histograms and are within
+          {!Dqep_util.Histogram.relative_error} (1%) of the exact
+          nearest-rank value; 0 before any sample. *)
   hit_p95_ms : float;
   miss_p50_ms : float;  (** completed-request latency, cold-optimize path *)
   miss_p95_ms : float;

@@ -36,6 +36,11 @@ let () =
    cannot deadlock) to pick the globally least-recently-used unpinned
    victim.
 
+   Each shard also counts its frames with at least one pin, updated
+   under the shard mutex on every 0<->1 pin transition, so the pinned
+   total that [resize] refuses to shrink below is a sum over shards,
+   not a scan over every resident frame.
+
    I/O accounting lives on an owned observation trace: the pool's
    counters are ordinary [Dqep_obs.Counter]s, and a per-run trace can be
    teed in with [attach_obs] so an executor run sees its own I/O without
@@ -47,6 +52,7 @@ let shard_count = 16
 type shard = {
   smu : Mutex.t;
   table : (int, frame) Hashtbl.t;
+  mutable pinned : int; (* frames in [table] with [pins > 0] *)
 }
 
 type t = {
@@ -77,7 +83,8 @@ let create ?(frames = 64) disk =
     shards =
       Array.init shard_count (fun _ ->
           { smu = Mutex.create ();
-            table = Hashtbl.create (2 * (1 + (frames / shard_count))) });
+            table = Hashtbl.create (2 * (1 + (frames / shard_count)));
+            pinned = 0 });
     clock = Atomic.make 0;
     resident_n = Atomic.make 0;
     obs = Trace.create ();
@@ -153,6 +160,16 @@ let with_all t f =
   lock_all t;
   Fun.protect ~finally:(fun () -> unlock_all t) f
 
+(* Require [s]'s lock.  Every pin-count change goes through these two,
+   so the shard's [pinned] counter follows each 0<->1 transition. *)
+let add_pin s f =
+  if f.pins = 0 then s.pinned <- s.pinned + 1;
+  f.pins <- f.pins + 1
+
+let drop_pin s f =
+  f.pins <- f.pins - 1;
+  if f.pins = 0 then s.pinned <- s.pinned - 1
+
 (* Requires all shard locks.  Globally least-recently-used unpinned
    victim, exactly as the single-latch pool chose it. *)
 let evict_one_locked t =
@@ -191,17 +208,21 @@ let ensure_room t =
         if Atomic.get t.resident_n >= t.capacity then evict_one_locked t)
   done
 
-let pinned_pages_locked t =
-  Array.fold_left
-    (fun acc s ->
-      Hashtbl.fold
-        (fun id f acc -> if f.pins > 0 then (id, f.pins) :: acc else acc)
-        s.table acc)
-    [] t.shards
-  |> List.sort compare
+(* Requires all shard locks. *)
+let pinned_count_locked t =
+  Array.fold_left (fun acc s -> acc + s.pinned) 0 t.shards
 
-let pinned_count t = with_all t (fun () -> List.length (pinned_pages_locked t))
-let pinned_pages t = with_all t (fun () -> pinned_pages_locked t)
+let pinned_count t = with_all t (fun () -> pinned_count_locked t)
+
+let pinned_pages t =
+  with_all t (fun () ->
+      Array.fold_left
+        (fun acc s ->
+          Hashtbl.fold
+            (fun id f acc -> if f.pins > 0 then (id, f.pins) :: acc else acc)
+            s.table acc)
+        [] t.shards)
+  |> List.sort compare
 
 let leak_check t =
   match pinned_pages t with
@@ -217,7 +238,7 @@ let leak_check t =
 let resize t capacity =
   if capacity <= 0 then invalid_arg "Buffer_pool.resize: capacity <= 0";
   with_all t (fun () ->
-      if capacity < List.length (pinned_pages_locked t) then
+      if capacity < pinned_count_locked t then
         invalid_arg "Buffer_pool.resize: smaller than pinned pages";
       t.capacity <- capacity;
       while Atomic.get t.resident_n > t.capacity do
@@ -228,9 +249,10 @@ let pin t id =
   bump t Counter.Logical_reads;
   let hit =
     with_shard t id (fun () ->
-        match Hashtbl.find_opt (shard_of t id).table id with
+        let s = shard_of t id in
+        match Hashtbl.find_opt s.table id with
         | Some f ->
-          f.pins <- f.pins + 1;
+          add_pin s f;
           f.last_use <- tick t;
           Some f.page
         | None -> None)
@@ -249,33 +271,34 @@ let pin t id =
     ensure_room t;
     bump t Counter.Physical_reads;
     with_shard t id (fun () ->
-        let table = (shard_of t id).table in
-        match Hashtbl.find_opt table id with
+        let s = shard_of t id in
+        match Hashtbl.find_opt s.table id with
         | Some f ->
           (* Another domain raced the same miss and inserted first; both
              physical reads really happened and both are counted. *)
           f.last_use <- tick t;
           check_io_limit t;
-          f.pins <- f.pins + 1;
+          add_pin s f;
           f.page
         | None ->
           (* Pin only after the budget check: if the limit fires here,
              the page is resident but unpinned, so an aborted run leaks
              no pins. *)
           let f = { page; pins = 0; dirty = false; last_use = tick t } in
-          Hashtbl.add table id f;
+          Hashtbl.add s.table id f;
           Atomic.incr t.resident_n;
           check_io_limit t;
-          f.pins <- 1;
+          add_pin s f;
           page)
 
 let unpin t id =
   with_shard t id (fun () ->
-      match Hashtbl.find_opt (shard_of t id).table id with
+      let s = shard_of t id in
+      match Hashtbl.find_opt s.table id with
       | None -> invalid_arg "Buffer_pool.unpin: page not resident"
       | Some f ->
         if f.pins <= 0 then invalid_arg "Buffer_pool.unpin: page not pinned";
-        f.pins <- f.pins - 1)
+        drop_pin s f)
 
 let mark_dirty t id =
   with_shard t id (fun () ->
@@ -291,8 +314,10 @@ let new_page t =
   ensure_room t;
   let page = Disk.allocate t.disk in
   with_shard t page.Page.id (fun () ->
-      let f = { page; pins = 1; dirty = true; last_use = tick t } in
-      Hashtbl.add (shard_of t page.Page.id).table page.Page.id f;
+      let s = shard_of t page.Page.id in
+      let f = { page; pins = 0; dirty = true; last_use = tick t } in
+      add_pin s f;
+      Hashtbl.add s.table page.Page.id f;
       Atomic.incr t.resident_n);
   page
 

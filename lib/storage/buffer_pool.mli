@@ -105,7 +105,9 @@ val resident : t -> int
 (** Number of pages currently held. *)
 
 val pinned_count : t -> int
-(** Number of resident pages with at least one pin. *)
+(** Number of resident pages with at least one pin.  Kept incrementally
+    per shard, so this (and {!resize}'s check) costs O(shards), not
+    O(resident pages). *)
 
 val pinned_pages : t -> (int * int) list
 (** [(page id, pin count)] for every currently pinned page, sorted by

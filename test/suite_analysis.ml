@@ -290,6 +290,21 @@ let test_executor_rejects_corrupt_plan () =
   | Error f, _ ->
     Alcotest.failf "wrong failure kind: %a" D.Resilience.pp_failure f
 
+let test_corrupt_plan_rejected_every_call () =
+  (* The activation check memoizes its verdict per plan and catalog; a
+     memoized rejection must still reject every later activation. *)
+  let c, b = builder () in
+  let bad = I.unchecked ~lo:5. ~hi:1. in
+  let corrupt = raw_scan b ~own:bad ~total:bad "R" in
+  let db = D.Database.build ~seed:7 c in
+  let env = D.Env.dynamic c in
+  for call = 1 to 3 do
+    match D.Executor.check_feasible db env corrupt with
+    | _ -> Alcotest.failf "corrupt plan accepted on call %d" call
+    | exception D.Executor.Invalid_plan diags ->
+      fires (Printf.sprintf "call %d" call) Dg.Cost_interval_inverted diags
+  done
+
 let test_missing_relation_stays_infeasible () =
   (* Catalog drift is the feasibility regime: the classic typed
      [Infeasible] error, not a verifier rejection. *)
@@ -552,6 +567,8 @@ let suite =
       Alcotest.test_case "check_exn" `Quick test_check_exn;
       Alcotest.test_case "executor rejects corrupt plans" `Quick
         test_executor_rejects_corrupt_plan;
+      Alcotest.test_case "corrupt plan rejected on every call" `Quick
+        test_corrupt_plan_rejected_every_call;
       Alcotest.test_case "missing relation stays infeasible" `Quick
         test_missing_relation_stays_infeasible;
       Alcotest.test_case "validate collects every diagnostic" `Quick

@@ -128,6 +128,25 @@ let test_copy_node () =
   let j'' = D.Plan.Builder.copy_node b j ~inputs:[ l; r ] in
   Alcotest.(check int) "hash-consed" j.D.Plan.pid j''.D.Plan.pid
 
+let test_pids_distinct_across_domains () =
+  (* Pids are global and every DAG walk keys on them, so builders
+     running on concurrent domains must never hand out the same one. *)
+  let per_domain = 2000 in
+  let build () =
+    let _, b = builder () in
+    List.init per_domain (fun i ->
+        let name = Printf.sprintf "T%d" i in
+        (D.Plan.Builder.raw b ~op:(D.Physical.File_scan name) ~inputs:[]
+           ~rels:[ name ] ~rows:(I.point 1.) ~bytes_per_row:512
+           ~own_cost:(I.point 1.) ~total_cost:(I.point 1.)
+           ~props:D.Props.unordered)
+          .D.Plan.pid)
+  in
+  let domains = List.init 4 (fun _ -> Domain.spawn build) in
+  let pids = List.concat_map Domain.join domains in
+  Alcotest.(check int) "all pids distinct" (4 * per_domain)
+    (List.length (List.sort_uniq compare pids))
+
 let suite =
   ( "plan",
     [ Alcotest.test_case "hash-consing" `Quick test_hash_consing;
@@ -136,4 +155,6 @@ let suite =
       Alcotest.test_case "DAG counting" `Quick test_dag_counting;
       Alcotest.test_case "iter visits once, topologically" `Quick test_iter_visits_once;
       Alcotest.test_case "schema" `Quick test_schema;
-      Alcotest.test_case "copy_node" `Quick test_copy_node ] )
+      Alcotest.test_case "copy_node" `Quick test_copy_node;
+      Alcotest.test_case "pids distinct across domains" `Quick
+        test_pids_distinct_across_domains ] )

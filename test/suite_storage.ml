@@ -119,6 +119,101 @@ let test_pool_resize_refuses_below_pinned () =
   Alcotest.(check bool) "shrunk after unpin" true
     (D.Buffer_pool.resident pool <= 1)
 
+(* The pinned-frame count is kept incrementally per shard; over random
+   pin/unpin/new_page/resize/eviction sequences with read faults
+   injected it must always equal the scan behind [pinned_pages], and
+   both must match a model of the pins the test holds. *)
+let prop_pinned_count_matches_scan =
+  let op = QCheck.(pair (int_range 0 4) small_nat) in
+  QCheck.Test.make ~name:"pinned_count = |pinned_pages| under faults"
+    ~count:300
+    QCheck.(pair small_nat (list_of_size Gen.(int_range 1 80) op))
+    (fun (seed, ops) ->
+      let disk, pool = fresh ~frames:16 () in
+      let pages = ref (List.init 12 (fun _ -> heap_page pool)) in
+      D.Buffer_pool.resize pool 6;
+      D.Disk.set_faults disk
+        (Some (D.Fault.create (D.Fault.config ~read_fault_rate:0.3 ~seed ())));
+      (* Every pin the test holds, one entry per pin. *)
+      let held = ref [] in
+      let model () =
+        List.sort_uniq compare !held
+        |> List.map (fun id ->
+               (id, List.length (List.filter (( = ) id) !held)))
+      in
+      let nth l k = List.nth l (k mod List.length l) in
+      let step (kind, k) =
+        match kind with
+        | 0 -> (
+          let id = nth !pages k in
+          match D.Buffer_pool.pin pool id with
+          | _ -> held := id :: !held
+          | exception D.Fault.Io_fault _ -> ()
+          | exception Failure _ -> (* every frame pinned *) ())
+        | 1 -> (
+          match !held with
+          | [] -> ()
+          | _ ->
+            let id = nth !held k in
+            D.Buffer_pool.unpin pool id;
+            let rec drop = function
+              | [] -> []
+              | x :: rest -> if x = id then rest else x :: drop rest
+            in
+            held := drop !held)
+        | 2 -> (
+          match D.Buffer_pool.new_page pool with
+          | page ->
+            pages := page.D.Page.id :: !pages;
+            held := page.D.Page.id :: !held
+          | exception Failure _ -> ())
+        | 3 -> (
+          let size = 1 + (k mod 10) and pinned = List.length (model ()) in
+          match D.Buffer_pool.resize pool size with
+          | () ->
+            if size < pinned then
+              QCheck.Test.fail_reportf "resize to %d below %d pinned" size
+                pinned
+          | exception Invalid_argument msg ->
+            if msg <> "Buffer_pool.resize: smaller than pinned pages" then
+              QCheck.Test.fail_reportf "unexpected refusal: %s" msg;
+            if size >= pinned then
+              QCheck.Test.fail_reportf "resize to %d refused with %d pinned"
+                size pinned)
+        | _ ->
+          (* Evict every unpinned frame, then restore the budget. *)
+          let frames = D.Buffer_pool.frames pool in
+          D.Buffer_pool.resize pool (Int.max 1 (List.length (model ())));
+          D.Buffer_pool.resize pool frames
+      in
+      List.for_all
+        (fun o ->
+          step o;
+          let scan = D.Buffer_pool.pinned_pages pool in
+          D.Buffer_pool.pinned_count pool = List.length scan && scan = model ())
+        ops)
+
+let test_pinned_count_concurrent () =
+  (* Domains racing pins of the same pages take the raced-miss path;
+     once every pin is released the incremental count reads zero. *)
+  let _, pool = fresh ~frames:64 () in
+  let pages = Array.init 48 (fun _ -> heap_page pool) in
+  D.Buffer_pool.resize pool 16;
+  let worker d () =
+    let rng = D.Rng.create d in
+    for _ = 1 to 3000 do
+      let a = pages.(D.Rng.int rng 48) and b = pages.(D.Rng.int rng 48) in
+      ignore (D.Buffer_pool.pin pool a);
+      ignore (D.Buffer_pool.pin pool b);
+      D.Buffer_pool.unpin pool a;
+      D.Buffer_pool.unpin pool b
+    done
+  in
+  List.init 4 (fun d -> Domain.spawn (worker d)) |> List.iter Domain.join;
+  Alcotest.(check int) "nothing pinned" 0 (D.Buffer_pool.pinned_count pool);
+  Alcotest.(check (list (pair int int))) "scan agrees" []
+    (D.Buffer_pool.pinned_pages pool)
+
 (* --- fault injection ----------------------------------------------------- *)
 
 let test_fault_config_validation () =
@@ -286,6 +381,9 @@ let suite =
       Alcotest.test_case "pool resize" `Quick test_pool_resize;
       Alcotest.test_case "resize refuses to evict pinned pages" `Quick
         test_pool_resize_refuses_below_pinned;
+      QCheck_alcotest.to_alcotest prop_pinned_count_matches_scan;
+      Alcotest.test_case "pinned count under concurrent pins" `Quick
+        test_pinned_count_concurrent;
       Alcotest.test_case "fault config validation" `Quick test_fault_config_validation;
       Alcotest.test_case "fault schedule deterministic" `Quick
         test_fault_schedule_deterministic;

@@ -1,6 +1,7 @@
 (* PRNG determinism and summary statistics. *)
 
 module Rng = Dqep.Rng
+module D = Dqep
 module Stats = Dqep.Stats
 
 let test_rng_deterministic () =
@@ -124,6 +125,37 @@ let test_timer () =
   Alcotest.(check int) "result" 42 v;
   Alcotest.(check bool) "per-run non-negative" true (per >= 0.)
 
+(* The bucketed percentile stays within the histogram's stated relative
+   error of the exact nearest-rank one, over samples spanning decades
+   (and some zeros, which read back exactly). *)
+let prop_histogram_percentile_error =
+  QCheck.Test.make ~name:"histogram p50/p95 within relative error" ~count:300
+    QCheck.(pair small_nat (int_range 1 400))
+    (fun (seed, n) ->
+      let rng = Rng.create seed in
+      let samples =
+        List.init n (fun _ ->
+            if Rng.float rng < 0.05 then 0.
+            else exp ((Rng.float rng *. 20.) -. 10.))
+      in
+      let h = D.Histogram.create () in
+      List.iter (D.Histogram.add h) samples;
+      List.for_all
+           (fun p ->
+             let exact = Stats.percentile p samples in
+             let approx = D.Histogram.percentile p h in
+             Float.abs (approx -. exact)
+             <= D.Histogram.relative_error *. exact *. (1. +. 1e-9))
+           [ 50.; 95.; 0.; 100. ])
+
+let test_histogram_empty () =
+  let h = D.Histogram.create () in
+  Alcotest.(check (float 0.)) "empty p50" 0. (D.Histogram.percentile 50. h);
+  Alcotest.(check (float 0.)) "empty p95" 0. (D.Histogram.percentile 95. h);
+  Alcotest.check_raises "p out of range"
+    (Invalid_argument "Histogram.percentile: p out of range") (fun () ->
+      ignore (D.Histogram.percentile 101. h))
+
 let suite =
   ( "util",
     [ Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
@@ -135,6 +167,8 @@ let suite =
       Alcotest.test_case "percentile nearest-rank edges" `Quick
         test_percentile_edges;
       Alcotest.test_case "timer" `Quick test_timer;
+      Alcotest.test_case "histogram empty" `Quick test_histogram_empty;
+      QCheck_alcotest.to_alcotest prop_histogram_percentile_error;
       QCheck_alcotest.to_alcotest prop_percentile_is_sample;
       QCheck_alcotest.to_alcotest prop_float_range;
       QCheck_alcotest.to_alcotest prop_int_range;

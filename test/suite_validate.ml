@@ -110,6 +110,80 @@ let test_static_plan_brittleness () =
   Alcotest.(check bool) "static plan became infeasible" false static_ok;
   Alcotest.(check bool) "dynamic plan survives" true dynamic_survives
 
+(* --- the executor's memoized activation check ---------------------------- *)
+
+(* What [Executor.check_feasible] decides, recomputed from scratch: the
+   feasibility check, then pruning.  Pruned plans are fresh nodes, so
+   outcomes compare by shape and cost. *)
+type outcome = Runs of int * int * D.Interval.t | Dead of D.Validate.problem list
+
+let outcome_of_plan (p : D.Plan.t) =
+  Runs (D.Plan.node_count p, D.Plan.choose_count p, p.D.Plan.total_cost)
+
+let uncached env catalog plan =
+  match D.Validate.check catalog plan with
+  | Ok () -> outcome_of_plan plan
+  | Error problems -> (
+    match D.Validate.prune_infeasible env catalog plan with
+    | Some pruned -> outcome_of_plan pruned
+    | None -> Dead problems)
+
+let checked db env plan =
+  match D.Executor.check_feasible db env plan with
+  | p -> outcome_of_plan p
+  | exception D.Executor.Infeasible problems -> Dead problems
+
+let check_outcome name expected actual =
+  Alcotest.(check bool) name true (expected = actual)
+
+let test_verdict_follows_catalog_swap () =
+  (* A plan checked under catalog A, then activated on catalog B that
+     dropped an index, gets B's verdict, not A's memoized one. *)
+  let without = catalog_without_index ~rel:"R1" ~attr:"a" in
+  let db_a = D.Database.build ~seed:3 base_query.D.Queries.catalog in
+  let db_b = D.Database.build ~seed:3 without in
+  let env_a = D.Env.dynamic base_query.D.Queries.catalog in
+  let env_b = D.Env.dynamic without in
+  List.iter
+    (fun (name, mode, dies) ->
+      let plan = (optimize_exn ~mode base_query).D.Optimizer.plan in
+      check_outcome (name ^ " under A") (outcome_of_plan plan)
+        (checked db_a env_a plan);
+      let expected = uncached env_b without plan in
+      Alcotest.(check bool) (name ^ " dies under B") dies
+        (match expected with Dead _ -> true | Runs _ -> false);
+      check_outcome (name ^ " under B") expected (checked db_b env_b plan);
+      check_outcome (name ^ " under A again") (outcome_of_plan plan)
+        (checked db_a env_a plan))
+    [ ("dynamic", D.Optimizer.dynamic (), false);
+      ("static", D.Optimizer.static, true) ]
+
+let test_verdict_across_domains () =
+  (* One fresh plan activated from 4 domains, alternating between two
+     catalogs: every verdict matches the uncached one. *)
+  let without = catalog_without_index ~rel:"R1" ~attr:"a" in
+  let plan =
+    (optimize_exn ~mode:(D.Optimizer.dynamic ()) base_query).D.Optimizer.plan
+  in
+  let sides =
+    [| (D.Database.build ~seed:3 base_query.D.Queries.catalog,
+        D.Env.dynamic base_query.D.Queries.catalog);
+       (D.Database.build ~seed:3 without, D.Env.dynamic without) |]
+  in
+  let expected =
+    Array.map (fun (db, env) -> uncached env (D.Database.catalog db) plan) sides
+  in
+  let worker d () =
+    List.init 200 (fun i ->
+        let side = (i + d) mod 2 in
+        let db, env = sides.(side) in
+        checked db env plan = expected.(side))
+  in
+  let domains = List.init 4 (fun d -> Domain.spawn (worker d)) in
+  let agreed = List.concat_map Domain.join domains in
+  Alcotest.(check int) "every verdict agrees" 800
+    (List.length (List.filter Fun.id agreed))
+
 let suite =
   ( "validate",
     [ Alcotest.test_case "valid plan passes" `Quick test_valid_plan_checks;
@@ -120,4 +194,8 @@ let suite =
         test_prune_keeps_feasible_alternatives;
       Alcotest.test_case "pruning can empty a plan" `Quick test_prune_everything;
       Alcotest.test_case "static brittle, dynamic survives" `Quick
-        test_static_plan_brittleness ] )
+        test_static_plan_brittleness;
+      Alcotest.test_case "verdict follows a catalog swap" `Quick
+        test_verdict_follows_catalog_swap;
+      Alcotest.test_case "verdict agrees across domains" `Quick
+        test_verdict_across_domains ] )
