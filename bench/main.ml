@@ -212,29 +212,18 @@ let run_benchmarks () =
     merged;
   Format.printf "@."
 
-(* --- part 3: row vs batch execution engines ------------------------------ *)
+(* --- part 3: execution kernels ------------------------------------------- *)
 
-(* Three workloads where the morsel pool matters: a table scan + filter
-   (the batch engine fuses the predicate into the scan morsels), a
-   two-way hash join (radix-partitioned into per-partition morsels) and
-   a full-table sort (parallel chunk sorts merged on the consumer).  No
-   indexes, so the optimizer has a single access path per relation and
-   the two engines run the same plan.
+(* Three operator kernels: a table scan + filter, a two-way hash join
+   and a full-table sort.  No indexes, so the optimizer has a single
+   access path per relation.  Each kernel is measured [exec_reps] times
+   after a warm-up run (each measurement repeats the query until at
+   least 50 ms of CPU accumulate), and the median per-run CPU time is
+   reported with the fastest and slowest measurement as its spread.
 
-   Scaling is gated on the *schedule model*, not wall clock: the morsel
-   decomposition is fixed-size (worker-count independent), every morsel
-   logs its work in deterministic abstract units, and the simulated
-   completion time at [k] workers is the consumer-thread serial units
-   plus a greedy longest-processing-time makespan of the morsel costs
-   over [k] bins.  On a host with fewer cores than workers (CI runners
-   included) wall-clock time cannot show parallel speedup at all — and
-   [Timer.cpu_auto] sums CPU across domains — so the measured timings
-   are recorded alongside the model but never gated on for scaling.
-
-   Results go to BENCH_exec.json; `exec --check` gates CI on (a) the
-   batch engine beating the row engine on the scan microbenchmark and
-   (b) the 1/2/4/8 scaling curve: workers=4 at least 1.5x better than
-   workers=1 on every workload, and the whole curve monotone or flat. *)
+   Results go to BENCH_exec.json; `exec --check` gates on every
+   measurement returning the row count [Reference.eval] computes for the
+   kernel's logical query. *)
 
 let exec_scan_instance () =
   let rel =
@@ -254,7 +243,7 @@ let exec_scan_instance () =
     (Result.get_ok (D.Optimizer.optimize ~mode:D.Optimizer.static catalog query))
       .D.Optimizer.plan
   in
-  ("scan_filter", catalog, plan, bindings)
+  ("scan_filter", catalog, query, plan, bindings)
 
 let exec_join_instance () =
   let mk name =
@@ -285,12 +274,12 @@ let exec_join_instance () =
     (Result.get_ok (D.Optimizer.optimize ~mode:D.Optimizer.static catalog query))
       .D.Optimizer.plan
   in
-  ("hash_join", catalog, plan, bindings)
+  ("hash_join", catalog, query, plan, bindings)
 
 (* The optimizer only inserts Sort as an enforcer, so the sort workload
    is a hand-built plan: full scan of U, sorted on a non-key column.
    The memory grant (1024 pages) holds the whole input, so the sort runs
-   the in-memory parallel chunk path rather than spilling runs. *)
+   in memory rather than spilling runs. *)
 let exec_sort_instance () =
   let rel =
     D.Relation.make ~name:"U" ~cardinality:20000 ~record_bytes:64
@@ -317,220 +306,97 @@ let exec_sort_instance () =
       ~inputs:[ scan ] ~rels:[ "U" ] ~rows:scan.D.Plan.rows ~bytes_per_row:64
       ~props:(D.Props.ordered [ col ])
   in
-  ("sort", catalog, plan, bindings)
+  ("sort", catalog, D.Logical.Get_set "U", plan, bindings)
+
+let exec_reps = 5
 
 type exec_point = {
-  engine : string;
-  point_workers : int;
-  cpu_seconds : float;
-  rows : int;
-  batches : int;
-  partitions : int;
+  kernel : string;
+  cpu_median : float;
+  cpu_min : float;
+  cpu_max : float;
+  rows : int list; (* per measurement *)
+  expected_rows : int;
 }
 
-(* Greedy LPT list schedule of the morsel costs over [k] bins. *)
-let makespan k units =
-  let units = Array.copy units in
-  Array.sort (fun a b -> Int.compare b a) units;
-  let bins = Array.make (Int.max 1 k) 0 in
-  Array.iter
-    (fun u ->
-      let best = ref 0 in
-      for i = 1 to Array.length bins - 1 do
-        if bins.(i) < bins.(!best) then best := i
-      done;
-      bins.(!best) <- bins.(!best) + u)
-    units;
-  Array.fold_left Int.max 0 bins
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  a.(Array.length a / 2)
 
-type scaling_model = {
-  serial_units : int;
-  morsel_count : int;
-  morsel_total : int;
-  curve : (int * int) list; (* workers, scaled units *)
-}
-
-let curve_workers = [ 1; 2; 4; 8 ]
-
-(* The cost list comes from one wide run's profile: fixed-size morsel
-   decomposition makes it a property of the query, not of the worker
-   count it happened to be collected under. *)
-let scaling_model (profile : D.Exec_common.exec_profile) =
-  let units = profile.D.Exec_common.morsel_units_ in
-  let serial = profile.D.Exec_common.serial_units in
-  { serial_units = serial;
-    morsel_count = Array.length units;
-    morsel_total = Array.fold_left ( + ) 0 units;
-    curve = List.map (fun k -> (k, serial + makespan k units)) curve_workers }
-
-let exec_series (name, catalog, plan, bindings) =
+let exec_point (kernel, catalog, query, plan, bindings) =
   let db = D.Database.build ~frames:1024 ~seed:7 catalog in
   let env = D.Env.of_bindings catalog bindings in
-  ignore catalog;
-  let measure engine workers =
-    let run () = D.Executor.execute db env ~engine ~workers plan in
-    ignore (run ());
-    (* warm the buffer pool *)
-    let best = ref infinity in
-    let last = ref None in
-    for _ = 1 to 3 do
-      let result, per_run = D.Timer.cpu_auto ~min_seconds:0.05 run in
-      if per_run < !best then best := per_run;
-      last := Some result
-    done;
-    let tuples, profile = Option.get !last in
-    ( { engine = D.Exec_common.engine_name engine;
-        point_workers = workers;
-        cpu_seconds = !best;
-        rows = List.length tuples;
-        batches = profile.D.Exec_common.batches;
-        partitions = profile.D.Exec_common.partitions },
-      profile )
+  let run () = D.Executor.execute db env plan in
+  (* warm the buffer pool *)
+  ignore (run ());
+  let samples =
+    List.init exec_reps (fun _ ->
+        let (tuples, _), per_run = D.Timer.cpu_auto ~min_seconds:0.05 run in
+        (List.length tuples, per_run))
   in
-  let points =
-    List.map
-      (fun (engine, workers) -> measure engine workers)
-      [ (D.Exec_common.Row, 1);
-        (D.Exec_common.Batch, 1);
-        (D.Exec_common.Batch, 2);
-        (D.Exec_common.Batch, 4);
-        (D.Exec_common.Batch, 8) ]
+  let cpu = List.map snd samples in
+  let p =
+    { kernel;
+      cpu_median = median cpu;
+      cpu_min = List.fold_left Float.min infinity cpu;
+      cpu_max = List.fold_left Float.max neg_infinity cpu;
+      rows = List.map fst samples;
+      expected_rows = List.length (snd (D.Reference.eval db bindings query)) }
   in
-  let model =
-    scaling_model
-      (snd
-         (List.find
-            (fun (p, _) -> p.engine = "batch" && p.point_workers = 8)
-            points))
-  in
-  let points = List.map fst points in
-  List.iter
-    (fun p ->
-      Format.printf "%-12s %-6s workers=%d: %8.2f ms cpu  (%d rows, %d batches)@."
-        name p.engine p.point_workers (p.cpu_seconds *. 1e3) p.rows p.batches)
-    points;
-  List.iter
-    (fun (k, scaled) ->
-      Format.printf "%-12s model  workers=%d: %8d units (%.2fx)@." name k
-        scaled
-        (float_of_int (List.assoc 1 model.curve) /. float_of_int scaled))
-    model.curve;
-  (name, points, model)
+  Format.printf "%-12s %8.2f ms cpu median of %d [%.2f, %.2f]  (%d rows)@."
+    kernel (p.cpu_median *. 1e3) exec_reps (p.cpu_min *. 1e3)
+    (p.cpu_max *. 1e3) p.expected_rows;
+  p
 
-let exec_json benchmarks =
+let exec_json points =
   let open D.Json in
   let point p =
     Obj
-      [ ("engine", String p.engine);
-        ("workers", Int p.point_workers);
-        ("cpu_seconds", Float p.cpu_seconds);
-        ("rows", Int p.rows);
-        ("batches", Int p.batches);
-        ("partitions", Int p.partitions) ]
-  in
-  let model m =
-    Obj
-      [ ("serial_units", Int m.serial_units);
-        ("morsel_count", Int m.morsel_count);
-        ("morsel_units_total", Int m.morsel_total);
-        ( "curve",
-          List
-            (List.map
-               (fun (k, scaled) ->
-                 Obj [ ("workers", Int k); ("scaled_units", Int scaled) ])
-               m.curve) ) ]
+      [ ("name", String p.kernel);
+        ("repetitions", Int exec_reps);
+        ("cpu_seconds_median", Float p.cpu_median);
+        ("cpu_seconds_min", Float p.cpu_min);
+        ("cpu_seconds_max", Float p.cpu_max);
+        ("rows", Int p.expected_rows) ]
   in
   to_string_pretty
     (Obj
-       [ ("benchmark", String "dqep exec engines");
+       [ ("benchmark", String "dqep exec kernels");
          ("unit", String "cpu_seconds_per_run");
-         ( "scaling_metric",
-           String
-             "scaled_units = serial_units + LPT makespan of morsel units \
-              over k workers (deterministic schedule model)" );
-         ( "results",
-           List
-             (List.map
-                (fun (name, points, m) ->
-                  Obj
-                    [ ("name", String name);
-                      ("series", List (List.map point points));
-                      ("scaling_model", model m) ])
-                benchmarks) ) ])
+         ("host_cores", Int (Domain.recommended_domain_count ()));
+         ("results", List (List.map point points)) ])
 
 let exec_bench ~check () =
-  Format.printf "=== execution engines: row vs batch ===@.";
-  let scan = exec_series (exec_scan_instance ()) in
-  let join = exec_series (exec_join_instance ()) in
-  let sort = exec_series (exec_sort_instance ()) in
-  let benchmarks = [ scan; join; sort ] in
+  Format.printf "=== execution kernels ===@.";
+  let points =
+    List.map exec_point
+      [ exec_scan_instance (); exec_join_instance (); exec_sort_instance () ]
+  in
   let path = "BENCH_exec.json" in
   let oc = open_out path in
-  output_string oc (exec_json benchmarks);
+  output_string oc (exec_json points);
   close_out oc;
   Format.printf "wrote %s@." path;
-  if check then begin
-    if not (Sys.file_exists path) then begin
-      prerr_endline "exec --check: BENCH_exec.json missing";
-      exit 1
-    end;
-    let failures = ref [] in
-    let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-    List.iter
-      (fun (name, points, m) ->
-        (* All five points must agree on the answer. *)
-        let rows = (List.hd points).rows in
-        List.iter
-          (fun p ->
-            if p.rows <> rows then
-              fail "%s: %s/%d workers returned %d rows, expected %d" name
-                p.engine p.point_workers p.rows rows)
-          points;
-        (* The scaling gate runs on the schedule model. *)
-        if m.morsel_count = 0 then
-          fail "%s: no morsels logged — the parallel path never ran" name;
-        let scaled k = List.assoc k m.curve in
-        let speedup k = float_of_int (scaled 1) /. float_of_int (scaled k) in
-        if speedup 4 < 1.5 then
-          fail "%s: workers=4 only %.2fx better than workers=1 (need 1.5x)"
-            name (speedup 4);
-        List.iter2
-          (fun a b ->
-            if scaled b > scaled a then
-              fail "%s: scaling curve regresses from %d to %d workers (%d -> %d units)"
-                name a b (scaled a) (scaled b))
-          [ 1; 2; 4 ] [ 2; 4; 8 ])
-      benchmarks;
-    (* The original row-vs-batch gate on the scan microbenchmark. *)
-    let scan_points = match benchmarks with (_, p, _) :: _ -> p | [] -> [] in
-    let find engine workers =
-      List.find
-        (fun p -> p.engine = engine && p.point_workers = workers)
-        scan_points
+  if check then
+    let failures =
+      List.concat_map
+        (fun p ->
+          List.filter_map
+            (fun rows ->
+              if rows = p.expected_rows then None
+              else
+                Some
+                  (Printf.sprintf "%s: returned %d rows, reference %d"
+                     p.kernel rows p.expected_rows))
+            p.rows)
+        points
     in
-    let row = find "row" 1 and batch = find "batch" 1 in
-    if batch.cpu_seconds > row.cpu_seconds then
-      fail "scan_filter: batch engine slower than row (%.3f ms vs %.3f ms)"
-        (batch.cpu_seconds *. 1e3)
-        (row.cpu_seconds *. 1e3);
-    match !failures with
-    | [] ->
-      Format.printf
-        "exec --check: ok (batch %.2f ms <= row %.2f ms on scan_filter; \
-         4-worker model speedups:%s)@."
-        (batch.cpu_seconds *. 1e3)
-        (row.cpu_seconds *. 1e3)
-        (String.concat ""
-           (List.map
-              (fun (name, _, m) ->
-                Printf.sprintf " %s %.2fx" name
-                  (float_of_int (List.assoc 1 m.curve)
-                  /. float_of_int (List.assoc 4 m.curve)))
-              benchmarks))
+    match failures with
+    | [] -> Format.printf "exec --check: ok (row counts match the reference)@."
     | fs ->
-      List.iter (Printf.eprintf "exec --check: %s\n") (List.rev fs);
+      List.iter (Printf.eprintf "exec --check: %s\n") fs;
       exit 1
-  end
 
 (* --- part 4: resource governance ----------------------------------------- *)
 
@@ -704,7 +570,7 @@ let obs_epsilon_s = 5e-4
 
 let obs_bench ~check () =
   Format.printf "=== observation pipeline: tracing overhead ===@.";
-  let _, catalog, plan, bindings = exec_scan_instance () in
+  let _, catalog, _, plan, bindings = exec_scan_instance () in
   let db = D.Database.build ~frames:1024 ~seed:7 catalog in
   let env = D.Env.of_bindings catalog bindings in
   let measure name run =
@@ -1045,8 +911,8 @@ let serve_bench ~check () =
 (* The distribution domain's payoff, measured head to head: least-
    expected-cost ranking collapses choose alternatives that interval
    incomparability must keep, without giving up plan quality.  Each
-   workload query (the five paper queries plus the 10-way chain) is
-   optimized twice in Dynamic mode — interval/worst-case, which is the
+   workload query (the five paper queries; paper5 is the 10-way chain)
+   is optimized twice in Dynamic mode — interval/worst-case, which is the
    pre-refactor search, and expected-cost — and both dynamic plans are
    then resolved at start-up under a grid of bindings spanning the
    selectivity range and priced against the oracle: a Run_time-mode
@@ -1068,7 +934,6 @@ let opt_bench ~check () =
     List.map
       (fun (q : D.Queries.t) -> (Printf.sprintf "paper%d" q.D.Queries.id, q))
       (D.Queries.paper_queries ())
-    @ [ ("chain10", D.Queries.chain ~relations:10) ]
   in
   let expected_options =
     { D.Optimizer.default_options with risk = D.Risk.Expected }
@@ -1193,7 +1058,8 @@ let opt_bench ~check () =
         (Obj
            [ ("benchmark", String "dqep expected-cost vs interval search");
              ( "workload",
-               String "paper queries 1-5 + 10-way chain, Dynamic mode" );
+               String "paper queries 1-5 (paper5 is the 10-way chain), \
+                       Dynamic mode" );
              ( "binding_grid",
                String
                  "selectivity 0.05/0.25/0.5/0.75/0.95 per host var, 64 \

@@ -254,17 +254,6 @@ let run_cmd =
                  by this factor and fail over to another alternative. \
                  Default: guard off.")
   in
-  let engine =
-    Arg.(value & opt (some string) None & info [ "engine" ]
-           ~doc:"Execution engine: 'row' (tuple-at-a-time iterators) or \
-                 'batch' (vectorized batches with exchange-parallel scans). \
-                 Default: \\$DQEP_ENGINE, else row.")
-  in
-  let workers =
-    Arg.(value & opt (some int) None & info [ "workers" ]
-           ~doc:"Exchange scan partitions/worker domains for the batch \
-                 engine. Default: \\$DQEP_WORKERS, else 1 (sequential).")
-  in
   let deadline_ms =
     Arg.(value & opt (some float) None
          & info [ "deadline-ms" ]
@@ -318,8 +307,8 @@ let run_cmd =
                    with `dqep trace validate`.")
   in
   let run relations seed memory sels fault_rate fault_seed retries
-      io_budget_factor engine workers deadline_ms memory_kb checkpoints
-      replan_tolerance max_replans json trace risk =
+      io_budget_factor deadline_ms memory_kb checkpoints replan_tolerance
+      max_replans json trace risk =
     let q = D.Queries.chain ~relations in
     (* --risk steers both ends: the optimizer ranks plans under the
        posture, and start-up resolution scalarizes alternative costs the
@@ -360,22 +349,6 @@ let run_cmd =
            (D.Fault.create
               (D.Fault.config ~read_fault_rate:fault_rate
                  ~write_fault_rate:fault_rate ~seed:fault_seed ())));
-    let engine =
-      Option.map
-        (fun s ->
-          match D.Exec_common.engine_of_string s with
-          | Some e -> e
-          | None ->
-            Printf.eprintf "dqep: --engine must be 'row' or 'batch' (got %s)\n"
-              s;
-            exit 2)
-        engine
-    in
-    (match workers with
-    | Some w when w < 1 ->
-      Printf.eprintf "dqep: --workers must be >= 1 (got %d)\n" w;
-      exit 2
-    | _ -> ());
     if replan_tolerance <= 1. then begin
       Printf.eprintf "dqep: --replan-tolerance must be > 1 (got %g)\n"
         replan_tolerance;
@@ -391,7 +364,6 @@ let run_cmd =
          config's env-var default unless --checkpoints forces it on. *)
       D.Resilience.config ~max_retries:retries
         ~io_budget_factor:(Option.value ~default:0. io_budget_factor)
-        ?engine ?workers
         ?checkpoints:(if checkpoints then Some true else None)
         ~checkpoint_tolerance:replan_tolerance ~max_replans ?risk ?replan ()
     in
@@ -512,8 +484,6 @@ let run_cmd =
               "  plan: %d choose-plan operators, %d alternatives pruned@."
               stats.D.Executor.choose_nodes
               r.D.Optimizer.stats.D.Optimizer.alternatives_pruned;
-            Format.printf "  exec: %a@." D.Exec_common.pp_profile
-              stats.D.Executor.exec;
             Format.printf "  executed plan:@.  @[<v>%a@]@." D.Plan.pp
               stats.D.Executor.resolved_plan
           end;
@@ -581,9 +551,9 @@ let run_cmd =
              deadline exceeded, 14 memory exceeded, 15 cancelled, 17 \
              estimate busted (16 is reserved for session shedding).")
     Term.(const run $ relations_arg $ seed $ memory $ sels $ fault_rate
-          $ fault_seed $ retries $ io_budget_factor $ engine $ workers
-          $ deadline_ms $ memory_kb $ checkpoints $ replan_tolerance
-          $ max_replans $ json $ trace $ risk_arg)
+          $ fault_seed $ retries $ io_budget_factor $ deadline_ms $ memory_kb
+          $ checkpoints $ replan_tolerance $ max_replans $ json $ trace
+          $ risk_arg)
 
 (* --- sql ----------------------------------------------------------------- *)
 

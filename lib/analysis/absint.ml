@@ -16,7 +16,7 @@
    - {e certificates} ([certificate]): a sound worst-case bound on the
      bytes a run can ever hold against its governor, derived from
      data-sound cardinalities (not the optimizer's estimates) and the
-     engines' actual charging discipline in [Exec_common] — if the bound
+     engine's actual charging discipline in [Exec_common] — if the bound
      fits a budget, no execution under that budget raises
      [Memory_exceeded];
 
@@ -446,7 +446,7 @@ type cert = {
 
 (* Sound worst case on bytes simultaneously held against the governor.
 
-   Discipline (Exec_common, Executor, Batch_exec, Checkpoint): a hash
+   Discipline (Exec_common, Executor, Checkpoint): a hash
    join charges its materialized build side (never more — Grace
    partitions are charged one at a time and each is at most the build);
    a sort charges at most its materialized input (runs are charged one

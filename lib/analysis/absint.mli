@@ -8,7 +8,7 @@
     - {!certificate}: a sound {e upper} bound on the bytes an execution
       can ever hold against its governor.  Soundness contract: if
       [worst_bytes <= B], then running the plan under a governor granted
-      [B] never raises [Governor.Memory_exceeded], on either engine,
+      [B] never raises [Governor.Memory_exceeded],
       with or without checkpointing (pass [~checkpoints:true] when a
       checkpoint registry will hold blocking-point materializations).
     - {!guaranteed_bytes}: a sound {e lower} bound on the largest single

@@ -26,7 +26,6 @@ type run_stats = {
   budget_aborts : int;
   failovers : int;
   replans : int;
-  exec : Exec_common.exec_profile;
 }
 
 exception Infeasible of Dqep_plans.Validate.problem list
@@ -114,7 +113,7 @@ let check_feasible db env plan =
     | Some pruned -> pruned
     | None -> raise (Infeasible problems))
 
-(* --- helpers (shared with the batch engine via Exec_common) ------------- *)
+(* --- helpers --------------------------------------------------------------- *)
 
 let base_schema = Exec_common.base_schema
 
@@ -529,36 +528,19 @@ let governed_iterator gov it =
             Governor.count_rows gov 1;
             Some t) }
 
-(* Engine-dispatching execution: drain the plan through the selected
-   engine and report the run's execution profile.  Defaults come from the
-   DQEP_ENGINE / DQEP_WORKERS environment variables (see Exec_common), so
-   an unmodified caller — including every existing test suite — can be
-   pushed through the batch engine externally. *)
+(* Drain the plan and return its tuples with their schema. *)
 let execute db env ?(gov = Governor.none) ?(obs = Trace.null)
-    ?(materialized = []) ?(checkpoint = Checkpoint.disabled) ?engine ?workers
-    ?on_batch plan =
-  let engine =
-    match engine with Some e -> e | None -> Exec_common.default_engine ()
+    ?(materialized = []) ?(checkpoint = Checkpoint.disabled) plan =
+  let it =
+    governed_iterator gov
+      (compile_with db env ~gov ~obs ~materialized ~checkpoint plan)
   in
-  let workers =
-    match workers with Some w -> w | None -> Exec_common.default_workers ()
-  in
-  match engine with
-  | Exec_common.Row ->
-    let it =
-      governed_iterator gov
-        (compile_with db env ~gov ~obs ~materialized ~checkpoint plan)
-    in
-    let tuples = Iterator.consume it in
-    Trace.add obs Counter.Rows_out (List.length tuples);
-    Trace.incr obs Counter.Batches_out;
-    Option.iter (fun f -> f (List.length tuples)) on_batch;
-    (tuples, Exec_common.row_profile)
-  | Exec_common.Batch ->
-    Batch_exec.run_plan db env ~gov ~obs ~materialized ~checkpoint ~workers
-      ?on_batch plan
+  let tuples = Iterator.consume it in
+  Trace.add obs Counter.Rows_out (List.length tuples);
+  Trace.incr obs Counter.Batches_out;
+  (tuples, it.Iterator.schema)
 
-let run db ?(gov = Governor.none) ?(obs = Trace.null) ?engine ?workers
+let run db ?(gov = Governor.none) ?(obs = Trace.null)
     ?(risk = Dqep_cost.Risk.Expected) bindings plan =
   let env = Env.of_bindings (Database.catalog db) bindings in
   let plan = check_feasible db env plan in
@@ -576,13 +558,13 @@ let run db ?(gov = Governor.none) ?(obs = Trace.null) ?engine ?workers
   let rt = if Trace.enabled obs then obs else Trace.create () in
   let before = Buffer_pool.stats_of_trace rt in
   Buffer_pool.attach_obs pool rt;
-  let (tuples, profile), cpu_seconds =
+  let (tuples, _), cpu_seconds =
     Fun.protect
       ~finally:(fun () -> Buffer_pool.detach_obs pool)
       (fun () ->
         Timer.cpu (fun () ->
             Trace.span rt "run" (fun () ->
-                execute db env ~gov ~obs:rt ?engine ?workers resolved)))
+                execute db env ~gov ~obs:rt resolved)))
   in
   Trace.gauge rt "cpu_seconds" cpu_seconds;
   ( tuples,
@@ -595,5 +577,4 @@ let run db ?(gov = Governor.none) ?(obs = Trace.null) ?engine ?workers
       faults_absorbed = 0;
       budget_aborts = 0;
       failovers = 0;
-      replans = 0;
-      exec = profile } )
+      replans = 0 } )

@@ -24,9 +24,6 @@ type run_stats = {
   budget_aborts : int;  (** attempts aborted by the I/O budget guard *)
   failovers : int;  (** re-resolutions onto another choose-plan alternative *)
   replans : int;  (** incremental re-optimizations after a busted estimate *)
-  exec : Exec_common.exec_profile;
-      (** which engine ran and, for the batch engine, its batch and
-          exchange accounting *)
 }
 (** The resilience counters are zero for a plain {!run}; they are filled
     in by {!Resilience.run}. *)
@@ -95,33 +92,24 @@ val execute :
   ?obs:Dqep_obs.Trace.t ->
   ?materialized:(int * Iterator.tuple list) list ->
   ?checkpoint:Checkpoint.t ->
-  ?engine:Exec_common.engine ->
-  ?workers:int ->
-  ?on_batch:(int -> unit) ->
   Dqep_plans.Plan.t ->
-  Iterator.tuple list * Exec_common.exec_profile
-(** Drain the plan through the selected engine.  [engine] defaults to
-    [DQEP_ENGINE] (row when unset), [workers] to [DQEP_WORKERS]; workers
-    only matter to the batch engine's exchange scans.  [on_batch]
-    observes the selected row count of every batch delivered at the plan
-    root as it is produced (the row engine reports one "batch" holding
-    the whole result) — {!Midquery} accumulates observed cardinalities
-    through it.  [gov] and [obs] as in {!compile_with}; the plan root
-    additionally counts delivered rows against the governor's row limit
-    and records [Rows_out]/[Batches_out] on the trace. *)
+  Iterator.tuple list * Dqep_algebra.Schema.t
+(** Compile and drain the plan, returning its tuples and their schema.
+    [gov], [obs], [materialized] and [checkpoint] as in {!compile_with};
+    the plan root additionally counts delivered rows against the
+    governor's row limit and records [Rows_out]/[Batches_out] on the
+    trace (one batch per drain). *)
 
 val run :
   Dqep_storage.Database.t ->
   ?gov:Governor.t ->
   ?obs:Dqep_obs.Trace.t ->
-  ?engine:Exec_common.engine ->
-  ?workers:int ->
   ?risk:Dqep_cost.Risk.t ->
   Dqep_cost.Bindings.t ->
   Dqep_plans.Plan.t ->
   Iterator.tuple list * run_stats
 (** Resolve, execute and drain a plan, reporting I/O and CPU.
-    [gov]/[engine]/[workers] as in {!execute}.  [risk] scalarizes any
+    [gov] as in {!execute}.  [risk] scalarizes any
     residual cost uncertainty during start-up resolution
     ({!Dqep_plans.Startup.resolve}); default [Expected], which is the
     historical behaviour.  The run records through [obs] when one is

@@ -1,20 +1,20 @@
 (* Per-query resource governor: a cooperative cancellation token with a
    deadline, a memory budget, and a row limit.
 
-   One governor accompanies one query through both execution engines: row
-   iterators call [check] on every [next], batch operators once per
-   batch, exchange workers per partition page, and the spilling cores in
+   One governor accompanies one query through the execution engine:
+   iterators call [check] on every [next], and the spilling cores in
    Exec_common charge their materializations against the memory budget
    through [charge]/[with_charge].  Violations raise the typed exceptions
    below, which Resilience maps to typed failures (a memory violation
    triggers choose-plan failover onto a lower-memory alternative).
 
-   The governor is shared across domains — the exchange operator's
-   workers check the same token the consumer holds — so all mutable
-   state is in atomics.  [check] is engineered to be cheap enough for a
-   per-tuple call: one load and a branch when the governor is unlimited,
-   and the (possibly syscalling) clock is consulted only every
-   [check_every] ticks when a deadline is armed. *)
+   The governor is shared across domains — another domain may cancel
+   the token the running query checks, and a session's queries charge
+   one shared pool — so all mutable state is in atomics.  [check] is
+   engineered to be cheap enough for a per-tuple call: one load and a
+   branch when the governor is unlimited, and the (possibly syscalling)
+   clock is consulted only every [check_every] ticks when a deadline is
+   armed. *)
 
 module Interval = Dqep_util.Interval
 module Env = Dqep_cost.Env
@@ -136,8 +136,8 @@ let check t =
     | Some budget when tick mod t.check_every = 0 ->
       let elapsed = t.clock () -. t.started in
       if elapsed > budget then begin
-        (* Record the violation so siblings (exchange workers) stop at
-           their next check without re-reading the clock. *)
+        (* Record the violation so later checks stop without
+           re-reading the clock. *)
         ignore
           (Atomic.compare_and_set t.cancelled None
              (Some "deadline exceeded") : bool);

@@ -1,13 +1,12 @@
 (** Per-query resource governance: a cooperative cancellation token with
     a deadline, a memory budget, and a row limit.
 
-    One governor accompanies one query through both execution engines —
-    row iterators {!check} on every [next], batch operators per batch,
-    exchange workers per partition page — and the spilling join/sort
+    One governor accompanies one query through the execution engine —
+    iterators {!check} on every [next] — and the spilling join/sort
     cores ({!Exec_common}) account their materializations against the
     memory budget with {!charge}.  The token is shared across domains
-    (all state is atomic), so cancelling from any thread stops a
-    parallel exchange as well as the consuming iterator.
+    (all state is atomic), so cancelling from any thread stops the
+    running query at its next check.
 
     The graceful-degradation ladder: a shrinking memory {!headroom}
     first makes the cores spill {e earlier} (they size their in-memory

@@ -8,8 +8,7 @@
     that buffer in [open_]; relying on [close] alone is wrong because
     [close] may run while results are still pending.  {!consume} is
     therefore re-entrant: consuming the same iterator twice yields the
-    same multiset.  The batch engine's iterators (Batch_exec) honor the
-    same contract. *)
+    same multiset. *)
 
 type tuple = int array
 

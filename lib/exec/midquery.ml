@@ -66,9 +66,8 @@ let shared_subplan (plan : Plan.t) =
       |> Option.map snd)
   | _ -> None
 
-let plain_run db ?(gov = Governor.none) ?(obs = Trace.null) ?engine ?workers
-    bindings plan =
-  let tuples, run = Executor.run db ~gov ~obs ?engine ?workers bindings plan in
+let plain_run db ?(gov = Governor.none) ?(obs = Trace.null) bindings plan =
+  let tuples, run = Executor.run db ~gov ~obs bindings plan in
   let env = Env.of_bindings (Database.catalog db) bindings in
   let cost, _ = Startup.evaluate env run.Executor.resolved_plan in
   ( tuples,
@@ -82,13 +81,11 @@ let plain_run db ?(gov = Governor.none) ?(obs = Trace.null) ?engine ?workers
 
 type observation = {
   observed_rows : int;
-  batches : int;
   overrides : (int * float) list;
   materialized : (int * Iterator.tuple list) list;
 }
 
-let observe db env ?(gov = Governor.none) ?(obs = Trace.null) ?engine ?workers
-    plan ~sub =
+let observe db env ?(gov = Governor.none) ?(obs = Trace.null) plan ~sub =
   (* Evaluate the shared subplan into a temporary and propagate the
      observation to every subplan computing the same logical result (same
      relations and selections — witnessed by an identical compile-time
@@ -99,31 +96,14 @@ let observe db env ?(gov = Governor.none) ?(obs = Trace.null) ?engine ?workers
      caller's when it has taps, a private one otherwise — so the observed
      cardinality is read back off the root operator's tap: the same
      channel feedback re-optimization consumes, rather than a separate
-     caller-side accumulator.  The root-batch count ([on_batch]) is kept
-     as the fallback for materialized roots, which bypass operator
-     compilation entirely. *)
+     caller-side accumulator. *)
   let ot =
     if Trace.taps_enabled obs then obs else Trace.create ~taps:true ()
   in
-  let delivered = ref 0 in
-  let tapped_before = Option.value ~default:0 (Trace.tap_rows ot sub.Plan.pid) in
-  let temp, profile =
-    Executor.execute db env ~gov ~obs:ot ?engine ?workers
-      ~on_batch:(fun n -> delivered := !delivered + n)
-      sub
-  in
-  let observed =
-    match Trace.tap_rows ot sub.Plan.pid with
-    | Some rows when rows - tapped_before > 0 || !delivered = 0 ->
-      rows - tapped_before
-    | Some _ | None -> !delivered
-  in
-  (* The row engine delivers the whole temporary as one "batch". *)
-  let batches =
-    match profile.Exec_common.engine with
-    | Exec_common.Row -> 1
-    | Exec_common.Batch -> profile.Exec_common.batches
-  in
+  let tapped () = Option.value ~default:0 (Trace.tap_rows ot sub.Plan.pid) in
+  let tapped_before = tapped () in
+  let temp, _ = Executor.execute db env ~gov ~obs:ot sub in
+  let observed = tapped () - tapped_before in
   let equivalent =
     Plan.fold
       (fun acc (node : Plan.t) ->
@@ -147,14 +127,13 @@ let observe db env ?(gov = Governor.none) ?(obs = Trace.null) ?engine ?workers
         | Dqep_algebra.Props.Ordered _ -> None)
       equivalent
   in
-  { observed_rows = observed; batches; overrides; materialized }
+  { observed_rows = observed; overrides; materialized }
 
-let run db ?(gov = Governor.none) ?(obs = Trace.null) ?engine ?workers
-    bindings plan =
+let run db ?(gov = Governor.none) ?(obs = Trace.null) bindings plan =
   let env = Env.of_bindings (Database.catalog db) bindings in
   let plan = Executor.check_feasible db env plan in
   match shared_subplan plan with
-  | None -> plain_run db ~gov ~obs ?engine ?workers bindings plan
+  | None -> plain_run db ~gov ~obs bindings plan
   | Some sub ->
     let pool = Database.pool db in
     Buffer_pool.resize pool (Executor.memory_pages env);
@@ -164,9 +143,8 @@ let run db ?(gov = Governor.none) ?(obs = Trace.null) ?engine ?workers
     Fun.protect ~finally:(fun () -> Buffer_pool.detach_obs pool) @@ fun () ->
     let start = Sys.time () in
     (* Phase 1: evaluate the shared subplan into a temporary. *)
-    let { observed_rows = observed; batches = _; overrides; materialized } =
-      Trace.span rt "observe" (fun () ->
-          observe db env ~gov ~obs:rt ?engine ?workers plan ~sub)
+    let { observed_rows = observed; overrides; materialized } =
+      Trace.span rt "observe" (fun () -> observe db env ~gov ~obs:rt plan ~sub)
     in
     (* Phase 2: decide with the observation, execute with the temporary. *)
     let default_resolution = Startup.resolve env plan in
@@ -176,9 +154,8 @@ let run db ?(gov = Governor.none) ?(obs = Trace.null) ?engine ?workers
       Startup.evaluate ~overrides env default_resolution.Startup.plan
     in
     let adapted = Startup.resolve ~overrides env plan in
-    let tuples, profile =
-      Executor.execute db env ~gov ~obs:rt ~materialized ?engine ?workers
-        adapted.Startup.plan
+    let tuples, _ =
+      Executor.execute db env ~gov ~obs:rt ~materialized adapted.Startup.plan
     in
     let cpu_seconds = Sys.time () -. start in
     let after = Buffer_pool.stats_of_trace rt in
@@ -203,5 +180,4 @@ let run db ?(gov = Governor.none) ?(obs = Trace.null) ?engine ?workers
             faults_absorbed = 0;
             budget_aborts = 0;
             failovers = 0;
-            replans = 0;
-            exec = profile } } )
+            replans = 0 } } )

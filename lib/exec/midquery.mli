@@ -34,9 +34,6 @@ val shared_subplan : Dqep_plans.Plan.t -> Dqep_plans.Plan.t option
 
 type observation = {
   observed_rows : int;  (** actual cardinality of the shared subplan *)
-  batches : int;
-      (** batches the cardinality accumulated over — 1 under the row
-          engine, the root's batch count under the batch engine *)
   overrides : (int * float) list;
       (** pid -> observed cardinality, for {!Dqep_plans.Startup.resolve} *)
   materialized : (int * Iterator.tuple list) list;
@@ -48,8 +45,6 @@ val observe :
   Dqep_cost.Env.t ->
   ?gov:Governor.t ->
   ?obs:Dqep_obs.Trace.t ->
-  ?engine:Exec_common.engine ->
-  ?workers:int ->
   Dqep_plans.Plan.t ->
   sub:Dqep_plans.Plan.t ->
   observation
@@ -59,8 +54,7 @@ val observe :
     equivalent node of the plan.  The subplan runs under a taps-enabled
     trace ([obs] when it has taps, a private one otherwise), and the
     observed cardinality is read off the root operator's tap — the same
-    observation channel feedback re-optimization consumes; the root
-    delivery count is the fallback for materialized roots.  Also used by
+    observation channel feedback re-optimization consumes.  Also used by
     {!Resilience} to carry observed cardinalities into failover
     re-resolution. *)
 
@@ -68,13 +62,11 @@ val run :
   Dqep_storage.Database.t ->
   ?gov:Governor.t ->
   ?obs:Dqep_obs.Trace.t ->
-  ?engine:Exec_common.engine ->
-  ?workers:int ->
   Dqep_cost.Bindings.t ->
   Dqep_plans.Plan.t ->
   Iterator.tuple list * stats
 (** Execute with mid-query adaptation; falls back to plain start-up
-    resolution when there is nothing to observe.  [gov]/[engine]/[workers]
-    as in {!Executor.execute}: the observation phase and the final
+    resolution when there is nothing to observe.  [gov] as in
+    {!Executor.execute}: the observation phase and the final
     execution run under the same governor, so deadlines and memory
     budgets span the whole adapted query. *)

@@ -13,17 +13,36 @@ let threshold env (p : Predicate.select) =
   in
   int_of_float (Float.round (sel *. float_of_int dom))
 
-let select_matches env schema (p : Predicate.select) tuple =
-  let pos = Schema.position_exn schema p.Predicate.target in
-  tuple.(pos) < threshold env p
+(* Both tests are staged: positions and the cutoff are resolved once,
+   at the first tuple, so every later call only indexes and compares.
+   Deferring to the first tuple keeps operators that never see one (a
+   point binding that selects nothing) from paying the lookups. *)
+let select_matches env schema (p : Predicate.select) =
+  let test =
+    lazy
+      (let pos = Schema.position_exn schema p.Predicate.target in
+       let cutoff = threshold env p in
+       fun (tuple : Iterator.tuple) -> tuple.(pos) < cutoff)
+  in
+  fun tuple -> Lazy.force test tuple
 
-let equi_matches ~left ~right preds ltuple rtuple =
-  List.for_all
-    (fun (p : Predicate.equi) ->
-      let value (c : Col.t) =
-        match Schema.position left c with
-        | Some i -> ltuple.(i)
-        | None -> rtuple.(Schema.position_exn right c)
-      in
-      value p.left = value p.right)
-    preds
+let equi_matches ~left ~right preds =
+  let test =
+    lazy
+      (let value (c : Col.t) =
+         match Schema.position left c with
+         | Some i -> fun (l : Iterator.tuple) (_ : Iterator.tuple) -> l.(i)
+         | None ->
+           let i = Schema.position_exn right c in
+           fun _ r -> r.(i)
+       in
+       let tests =
+         List.map
+           (fun (p : Predicate.equi) ->
+             let a = value p.Predicate.left and b = value p.Predicate.right in
+             fun l r -> Int.equal (a l r) (b l r))
+           preds
+       in
+       fun l r -> List.for_all (fun test -> test l r) tests)
+  in
+  fun ltuple rtuple -> Lazy.force test ltuple rtuple

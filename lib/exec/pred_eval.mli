@@ -14,6 +14,10 @@ val select_matches :
   Dqep_algebra.Predicate.select ->
   Iterator.tuple ->
   bool
+(** [select_matches env schema p] is the per-tuple test.  The
+    attribute's position and the cutoff are resolved once, at the first
+    tuple tested.
+    @raise Not_found if the attribute is not in [schema]. *)
 
 val equi_matches :
   left:Dqep_algebra.Schema.t ->
@@ -23,4 +27,6 @@ val equi_matches :
   Iterator.tuple ->
   bool
 (** Whether two tuples (from the left/right schemas) satisfy all join
-    predicates; predicates are located on either side automatically. *)
+    predicates; predicates are located on either side automatically.
+    Staged like {!select_matches}: positions are resolved once, at the
+    first pair tested. *)

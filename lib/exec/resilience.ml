@@ -18,8 +18,6 @@ type config = {
   io_budget_factor : float option;
   max_failovers : int;
   observe_on_failover : bool;
-  engine : Exec_common.engine option;
-  workers : int option;
   checkpoints : bool;
   checkpoint_tolerance : float;
   max_replans : int;
@@ -37,7 +35,7 @@ let default_checkpoints () =
 
 let config ?(max_retries = 2) ?(backoff_base = 0.01) ?(backoff_cap = 1.)
     ?(backoff_seed = 0x5eed) ?io_budget_factor ?(max_failovers = 8)
-    ?(observe_on_failover = true) ?engine ?workers ?checkpoints
+    ?(observe_on_failover = true) ?checkpoints
     ?(checkpoint_tolerance = Checkpoint.default_tolerance) ?(max_replans = 2)
     ?replan ?(risk = Dqep_cost.Risk.Expected) () =
   if max_retries < 0 then invalid_arg "Resilience.config: max_retries < 0";
@@ -46,15 +44,12 @@ let config ?(max_retries = 2) ?(backoff_base = 0.01) ?(backoff_cap = 1.)
   if max_replans < 0 then invalid_arg "Resilience.config: max_replans < 0";
   if checkpoint_tolerance <= 1. then
     invalid_arg "Resilience.config: checkpoint_tolerance <= 1";
-  (match workers with
-  | Some w when w < 1 -> invalid_arg "Resilience.config: workers < 1"
-  | Some _ | None -> ());
   let checkpoints =
     match checkpoints with Some c -> c | None -> default_checkpoints ()
   in
   { max_retries; backoff_base; backoff_cap; backoff_seed; io_budget_factor;
     max_failovers;
-    observe_on_failover; engine; workers; checkpoints; checkpoint_tolerance;
+    observe_on_failover; checkpoints; checkpoint_tolerance;
     max_replans; replan; risk }
 
 let default = config ()
@@ -234,9 +229,7 @@ let run ?(config = default) ?(gov = Governor.none) ?(obs = Trace.null) db
         | Some sub -> (
           match
             Trace.span rt "observe" (fun () ->
-                Midquery.observe db !mem_env ~gov ~obs:rt
-                  ?engine:config.engine ?workers:config.workers !current_plan
-                  ~sub)
+                Midquery.observe db !mem_env ~gov ~obs:rt !current_plan ~sub)
           with
           | obs ->
             overrides := obs.Midquery.overrides;
@@ -278,10 +271,9 @@ let run ?(config = default) ?(gov = Governor.none) ?(obs = Trace.null) db
           Trace.span rt "attempt" (fun () ->
             Executor.execute db !mem_env ~gov ~obs:rt
               ~materialized:(resume @ !materialized) ~checkpoint:ckpt
-              ?engine:config.engine ?workers:config.workers
               resolution.Startup.plan))
       with
-      | (tuples, profile), cpu_seconds ->
+      | (tuples, _), cpu_seconds ->
         let after = Buffer_pool.stats pool in
         Ok
           ( tuples,
@@ -295,8 +287,7 @@ let run ?(config = default) ?(gov = Governor.none) ?(obs = Trace.null) db
                 Trace.get rt Counter.Faults_absorbed - base_faults;
               budget_aborts = Trace.get rt Counter.Budget_aborts - base_budget;
               failovers = Trace.get rt Counter.Failovers - base_failovers;
-              replans = Trace.get rt Counter.Replans - base_replans;
-              exec = profile } )
+              replans = Trace.get rt Counter.Replans - base_replans } )
       | exception Fault.Io_fault { kind = Fault.Transient; _ }
         when attempt_no < config.max_retries ->
         Trace.incr rt Counter.Retries;

@@ -54,14 +54,6 @@ type config = {
           re-resolution decides with observed cardinalities
           (default true; best-effort — observation failures are
           swallowed) *)
-  engine : Exec_common.engine option;
-      (** execution engine for every attempt; [None] defers to
-          [DQEP_ENGINE] (see {!Executor.execute}) *)
-  workers : int option;
-      (** exchange workers for the batch engine; [None] defers to
-          [DQEP_WORKERS].  Faults raised inside a parallel exchange
-          partition surface as typed errors at the merge and take the
-          same retry/failover path as row-engine faults. *)
   checkpoints : bool;
       (** materialize checkpoints at blocking points ({!Checkpoint}) and
           validate observed cardinalities against the plan's validity
@@ -98,8 +90,6 @@ val config :
   ?io_budget_factor:float ->
   ?max_failovers:int ->
   ?observe_on_failover:bool ->
-  ?engine:Exec_common.engine ->
-  ?workers:int ->
   ?checkpoints:bool ->
   ?checkpoint_tolerance:float ->
   ?max_replans:int ->

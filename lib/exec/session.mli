@@ -107,7 +107,7 @@ val submit :
     (a cancellation queued before admission surfaces as
     [Failed (Cancelled _)] on the first check).  [resilience] overrides
     the session's supervisor configuration for this one submission (the
-    chaos harness mixes engines per query this way).  [clock] is the
+    chaos harness varies checkpointing per query this way).  [clock] is the
     queue clock, injectable for tests.
 
     [obs] is this submission's run trace (a taps-enabled private trace

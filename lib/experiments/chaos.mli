@@ -2,8 +2,8 @@
 
     Worker domains submit seeded query jobs — a mix of clean runs,
     wall-clock deadlines, deterministic cancellations, tight memory
-    budgets and injected I/O faults, across both engines including
-    parallel exchange — through one shared {!Dqep_exec.Session}.  The
+    budgets and injected I/O faults — through one shared
+    {!Dqep_exec.Session}.  The
     harness checks the governed-session contract: every job gets exactly
     one typed outcome ({!tally.escaped} empty), no outcome leaks a
     buffer-pool pin ({!tally.leaks} empty), and no checkpointed
@@ -108,6 +108,5 @@ val serve_soak :
   serve_tally
 (** Defaults: 4 client domains, 256 requests, seed 1, 3 admission
     slots, queue bound 4 (8+ clients overload it, exercising door
-    sheds), 3 relations (= 3 shapes, shape 0 poisoned).
-    The engine follows [DQEP_ENGINE], as everywhere.  Blocks until
+    sheds), 3 relations (= 3 shapes, shape 0 poisoned).  Blocks until
     every request has its response. *)

@@ -26,7 +26,7 @@ let () =
            limit observed)
     | _ -> None)
 
-(* The latch is sharded so concurrent morsel scans stop contending on
+(* The latch is sharded so concurrent readers stop contending on
    one lock: residency is split over [shard_count] hashtables keyed by
    [page_id mod shard_count], each behind its own mutex, and a pin hit —
    the hot path — touches exactly one shard.  Replacement state stays

@@ -77,19 +77,3 @@ let page_count t = List.length t.pages
 let tuple_count t = t.count
 let page_ids t = List.rev t.pages
 
-(* Split the file into at most [parts] contiguous page stripes (in file
-   order) for exchange-style partitioned scans.  Every page appears in
-   exactly one stripe; empty stripes are dropped, so the result may be
-   shorter than [parts] for small files. *)
-let partition t ~parts =
-  if parts <= 0 then invalid_arg "Heap_file.partition: parts <= 0";
-  let ids = Array.of_list (page_ids t) in
-  let n = Array.length ids in
-  let per = Int.max 1 ((n + parts - 1) / parts) in
-  let rec stripes i acc =
-    if i >= n then List.rev acc
-    else
-      let stop = Int.min n (i + per) in
-      stripes stop (Array.to_list (Array.sub ids i (stop - i)) :: acc)
-  in
-  stripes 0 []

@@ -27,10 +27,3 @@ val page_count : t -> int
 val tuple_count : t -> int
 val page_ids : t -> int list
 (** Page ids in file order. *)
-
-val partition : t -> parts:int -> int list list
-(** Split the file into at most [parts] contiguous page stripes (in file
-    order) for exchange-style partitioned scans.  Every page appears in
-    exactly one stripe; empty stripes are dropped, so the result may be
-    shorter than [parts] for small files.
-    @raise Invalid_argument if [parts <= 0]. *)

@@ -2,8 +2,7 @@
    memory accounting, typed failures through the resilient supervisor,
    graceful degradation (spill earlier under budget pressure), the
    memory-failover acceptance path, and the qcheck property that
-   cancelling at an arbitrary check tick — row engine, batch engine,
-   parallel exchange — never leaks a buffer-pool pin. *)
+   cancelling at an arbitrary check tick never leaks a buffer-pool pin. *)
 
 module D = Dqep
 
@@ -127,24 +126,20 @@ let test_row_limit () =
 
 let test_generous_governor_is_transparent () =
   (* A governor with room to spare changes nothing: same tuples as the
-     ungoverned run, on both engines. *)
+     ungoverned run. *)
   let plan = dynamic_plan q2 in
   let db = D.Database.build ~seed:11 q2.D.Queries.catalog in
   let expected, _ = D.Executor.run db bindings2 plan in
-  List.iter
-    (fun engine ->
-      let gov =
-        D.Governor.create ~deadline:3600. ~memory_bytes:(1 lsl 24)
-          ~max_rows:1_000_000 ()
-      in
-      let tuples, _ = D.Executor.run db ~gov ~engine bindings2 plan in
-      Alcotest.(check int)
-        (D.Exec_common.engine_name engine ^ " row count unchanged")
-        (List.length expected) (List.length tuples);
-      Alcotest.(check int) "all memory released" 0 (D.Governor.charged_bytes gov);
-      Alcotest.(check bool) "checks were actually performed" true
-        (D.Governor.checks gov > 0))
-    [ D.Exec_common.Row; D.Exec_common.Batch ]
+  let gov =
+    D.Governor.create ~deadline:3600. ~memory_bytes:(1 lsl 24)
+      ~max_rows:1_000_000 ()
+  in
+  let tuples, _ = D.Executor.run db ~gov bindings2 plan in
+  Alcotest.(check int) "row count unchanged" (List.length expected)
+    (List.length tuples);
+  Alcotest.(check int) "all memory released" 0 (D.Governor.charged_bytes gov);
+  Alcotest.(check bool) "checks were actually performed" true
+    (D.Governor.checks gov > 0)
 
 let test_sort_spills_earlier_under_pressure () =
   (* Graceful degradation: the same sort that fits in memory ungoverned
@@ -183,7 +178,25 @@ let test_sort_spills_earlier_under_pressure () =
   let governed, w1 = sort gov in
   Alcotest.(check bool) "governed sort spilled runs" true (w1 > 0);
   Alcotest.(check bool) "same sorted output" true (in_memory = governed);
-  Alcotest.(check int) "all charges released" 0 (D.Governor.charged_bytes gov)
+  Alcotest.(check int) "all charges released" 0 (D.Governor.charged_bytes gov);
+  (* Many runs: a wider declared row width under the same 2-page grant
+     cuts the input into dozens of runs.  The sort key alone has ties, so
+     equality with [List.stable_sort] also checks that run formation and
+     the merge keep input order among equal keys. *)
+  let by_key = D.Exec_common.compare_on [ 0 ] in
+  let obs = D.Obs.Trace.create () in
+  let gov = D.Governor.create ~memory_bytes:(2 * page_bytes) () in
+  let many_runs =
+    D.Exec_common.sort_core ~gov ~obs db env ~width:(8 * width)
+      ~compare_tuples:by_key tuples
+  in
+  let runs = D.Obs.Trace.get obs D.Obs.Counter.Spill_runs in
+  Alcotest.(check bool) (Printf.sprintf "at least 8 runs (%d)" runs) true
+    (runs >= 8);
+  Alcotest.(check bool) "equals List.stable_sort" true
+    (many_runs = List.stable_sort by_key tuples);
+  Alcotest.(check int) "many-run charges released" 0
+    (D.Governor.charged_bytes gov)
 
 (* --- typed failures through the supervisor ------------------------------- *)
 
@@ -280,9 +293,8 @@ let test_memory_violation_fails_over_to_low_memory_alternative () =
 
 let prop_cancellation_never_leaks_pins =
   QCheck.Test.make ~count:40 ~name:"cancel at random tick leaks no pins"
-    QCheck.(
-      triple (int_range 1 25) (int_range 1 300) (int_range 0 2))
-    (fun (seed, tick, engine_sel) ->
+    QCheck.(pair (int_range 1 25) (int_range 1 300))
+    (fun (seed, tick) ->
       let inst = D.Plangen.generate ~seed in
       let db = D.Database.build ~seed:(seed * 7919) inst.D.Plangen.catalog in
       let plan =
@@ -293,61 +305,14 @@ let prop_cancellation_never_leaks_pins =
           .D.Optimizer.plan
       in
       let b = D.Plangen.bindings inst ~seed:(seed + tick) in
-      let engine, workers =
-        match engine_sel with
-        | 0 -> (D.Exec_common.Row, 1)
-        | 1 -> (D.Exec_common.Batch, 1)
-        | _ -> (D.Exec_common.Batch, 3) (* cancellation lands mid-exchange *)
-      in
       let gov = D.Governor.create ~cancel_after_checks:tick () in
-      (match D.Executor.run db ~gov ~engine ~workers b plan with
+      (match D.Executor.run db ~gov b plan with
       | _ -> () (* finished before the injected tick: also fine *)
       | exception D.Governor.Cancelled _ -> ());
       match D.Buffer_pool.leak_check (D.Database.pool db) with
       | Ok () -> true
       | Error msg ->
-        QCheck.Test.fail_reportf
-          "seed %d, tick %d, %s/%d workers: %s" seed tick
-          (D.Exec_common.engine_name engine) workers msg)
-
-(* --- cancellation under full-width parallelism --------------------------- *)
-
-let test_cancel_under_eight_workers () =
-  Test_util.with_watchdog ~deadline:120. "governor: cancel under 8 workers"
-  @@ fun () ->
-  (* Cancel at a random tick while eight workers are mid-morsel: the
-     poll runs before every morsel, so the injected cancellation lands
-     inside a live parallel job.  Three invariants: the escape is the
-     typed [Cancelled] (never a raw exception from a worker domain), the
-     abort leaks no buffer-pool pin, and the persistent domain pool is
-     immediately reusable — the next full-width query on it completes
-     with the right answer. *)
-  let plan = dynamic_plan q2 in
-  let db = D.Database.build ~seed:23 q2.D.Queries.catalog in
-  let expected, _ = D.Executor.run db bindings2 plan in
-  let rng = Random.State.make [| 0xC0FFEE |] in
-  let cancelled = ref 0 in
-  for _round = 1 to 25 do
-    let tick = 1 + Random.State.int rng 400 in
-    let gov = D.Governor.create ~cancel_after_checks:tick () in
-    (match
-       D.Executor.run db ~gov ~engine:D.Exec_common.Batch ~workers:8 bindings2
-         plan
-     with
-    | _ -> () (* finished before the injected tick: also fine *)
-    | exception D.Governor.Cancelled _ -> incr cancelled
-    | exception e ->
-      Alcotest.failf "tick %d: untyped escape: %s" tick (Printexc.to_string e));
-    (match D.Buffer_pool.leak_check (D.Database.pool db) with
-    | Ok () -> ()
-    | Error msg -> Alcotest.failf "tick %d: %s" tick msg);
-    let tuples, _ =
-      D.Executor.run db ~engine:D.Exec_common.Batch ~workers:8 bindings2 plan
-    in
-    Alcotest.(check int) "pool reusable after cancel" (List.length expected)
-      (List.length tuples)
-  done;
-  Alcotest.(check bool) "some rounds cancelled mid-run" true (!cancelled > 0)
+        QCheck.Test.fail_reportf "seed %d, tick %d: %s" seed tick msg)
 
 let suite =
   ( "governor",
@@ -376,6 +341,4 @@ let suite =
         test_static_plan_memory_violation_is_typed;
       Alcotest.test_case "memory violation fails over and completes" `Quick
         test_memory_violation_fails_over_to_low_memory_alternative;
-      QCheck_alcotest.to_alcotest prop_cancellation_never_leaks_pins;
-      Alcotest.test_case "cancel at random tick under 8 workers" `Quick
-        test_cancel_under_eight_workers ] )
+      QCheck_alcotest.to_alcotest prop_cancellation_never_leaks_pins ] )

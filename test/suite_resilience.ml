@@ -150,11 +150,7 @@ let test_seeded_schedule_is_deterministic () =
     let db = D.Database.build ~seed:11 q1.D.Queries.catalog in
     drain_pool db;
     install db fault_config;
-    (* The seeded fault schedule advances per physical I/O, so its
-       determinism is only defined for a serial I/O order: pin one
-       worker even when the suite runs with DQEP_WORKERS > 1. *)
-    let config = D.Resilience.config ~workers:1 () in
-    let result, rstats = D.Resilience.run ~config db b plan in
+    let result, rstats = D.Resilience.run db b plan in
     let outcome =
       match result with
       | Ok (tuples, stats) -> Some (tuples, stats.D.Executor.failovers)
@@ -309,61 +305,6 @@ let test_partially_infeasible_plan_prunes_and_runs () =
        (D.Reference.normalize ref_schema expected)
        (normalized db stats tuples))
 
-(* A permanently broken heap page under the parallel batch engine: the
-   fault fires inside one exchange partition's worker domain, must
-   surface as a typed [Io_fault] at the merge point, and must take the
-   normal failover path — never deadlock the merge queue.  A watchdog
-   thread turns a hang into a hard failure instead of a stuck CI job. *)
-let test_exchange_partition_fault_is_typed_and_terminates () =
-  let plan = dynamic_plan q1 in
-  (* High selectivity makes the file-scan alternative the start-up-time
-     choice, so the exchange is what hits the broken page first.  The
-     B-tree fallback fetches matching tuples from the same heap, so at
-     this selectivity it trips over the page too: the run must end in a
-     typed exhaustion, not a hang. *)
-  let b = bindings1 0.9 in
-  let db = D.Database.build ~seed:11 q1.D.Queries.catalog in
-  let heap_pages = D.Heap_file.page_ids (D.Database.heap db "R1") in
-  Alcotest.(check bool) "relation spans several pages" true
-    (List.length heap_pages > 4);
-  (* Break one mid-file page: exactly one exchange partition faults while
-     its siblings keep producing into the merge queue. *)
-  let broken = List.nth heap_pages (List.length heap_pages / 2) in
-  drain_pool db;
-  install db
-    (D.Fault.config ~broken_pages:[ (broken, D.Fault.Permanent) ] ~seed:1 ());
-  let config =
-    D.Resilience.config ~engine:D.Exec_common.Batch ~workers:4 ()
-  in
-  let result, rstats =
-    Test_util.with_watchdog "resilience: exchange-partition fault" (fun () ->
-        D.Resilience.run ~config db b plan)
-  in
-  (match result with
-  | Ok (_, stats) ->
-    (* Acceptable only if the supervisor actually routed around the
-       fault via another alternative. *)
-    Alcotest.(check bool) "success implies failover" true
-      (stats.D.Executor.failovers >= 1)
-  | Error (D.Resilience.Exhausted { last_error; excluded }) ->
-    Alcotest.(check bool) "alternatives were excluded along the way" true
-      (excluded <> []);
-    (match last_error with
-    | D.Fault.Io_fault { kind = D.Fault.Permanent; page; _ } ->
-      Alcotest.(check int) "the typed error names the broken page" broken page
-    | e ->
-      Alcotest.failf "terminal error is not a typed Io_fault: %s"
-        (Printexc.to_string e))
-  | Error f ->
-    Alcotest.failf "unexpected failure kind: %a" D.Resilience.pp_failure f);
-  Alcotest.(check bool) "the broken partition forced a failover" true
-    (rstats.D.Resilience.failovers >= 1);
-  Alcotest.(check bool) "faults were absorbed, not leaked" true
-    (rstats.D.Resilience.faults_absorbed >= 1);
-  Alcotest.(check int) "permanent faults are never retried" 0
-    rstats.D.Resilience.retries;
-  set_faults db None
-
 (* The full-jitter backoff envelope: whatever the seed, attempt number
    and exponential growth, every sampled delay stays inside
    [0, min (base * 2^attempt, cap)] — the cap bounds worst-case added
@@ -408,6 +349,4 @@ let suite =
       Alcotest.test_case "infeasible plan reports typed problems" `Quick
         test_infeasible_plan_reports_problems;
       Alcotest.test_case "partially infeasible plan prunes and runs" `Quick
-        test_partially_infeasible_plan_prunes_and_runs;
-      Alcotest.test_case "exchange partition fault is typed, never hangs"
-        `Quick test_exchange_partition_fault_is_typed_and_terminates ] )
+        test_partially_infeasible_plan_prunes_and_runs ] )
